@@ -1681,12 +1681,20 @@ mod tests {
         Cli::parse(s.split_whitespace().map(String::from))
     }
 
+    /// The Places fixture, written once per test process (tests run in
+    /// parallel and read it while others start) into a per-process
+    /// directory; the file stem stays `places`, the table name.
     fn places_csv() -> String {
-        let dir = std::env::temp_dir().join("evofd_cli_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("places.csv");
-        write_csv_path(&dg::places(), &path).unwrap();
-        path.to_string_lossy().into_owned()
+        static PATH: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        PATH.get_or_init(|| {
+            let dir =
+                std::env::temp_dir().join("evofd_cli_tests").join(std::process::id().to_string());
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("places.csv");
+            write_csv_path(&dg::places(), &path).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .clone()
     }
 
     #[test]

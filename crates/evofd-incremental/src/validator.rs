@@ -257,6 +257,16 @@ impl IncrementalValidator {
         }
     }
 
+    /// Rebuild for a new FD set with one scan of the live rows, keeping
+    /// the configuration and the drift feed, so subscriptions outlive an
+    /// FD-set change (events name FDs by their index in the new set).
+    /// Work counters restart, as on any rebuild.
+    pub fn replace_fds(&mut self, live: &LiveRelation, fds: Vec<Fd>) {
+        let feed = std::mem::take(&mut self.feed);
+        *self = IncrementalValidator::with_config(live, fds, self.config.clone());
+        self.feed = feed;
+    }
+
     /// The FDs under validation, in index order.
     pub fn fds(&self) -> &[Fd] {
         &self.fds

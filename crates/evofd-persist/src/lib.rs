@@ -24,7 +24,8 @@
 //!   recount.
 //! * [`store`] — [`DurableRelation`] (journal-then-apply, rollback records
 //!   on failed deltas, journaled tombstone compaction, WAL-size-triggered
-//!   snapshot compaction) and [`Database`] (a directory of tables).
+//!   snapshot compaction, one check-and-apply pipeline shared by leader,
+//!   replica and recovery) and [`Database`] (a directory of tables).
 //! * [`engine`] — [`DurableEngine`], an [`evofd_sql::Engine`] whose
 //!   INSERT/DELETE/UPDATE are durable transactions through the WAL, plus
 //!   a read-only **replica mode** serving SELECT / `SHOW FDS` /

@@ -12,13 +12,14 @@
 //!
 //! * `Frames(..)` — whole WAL frames (`[len][crc][payload]`, the exact
 //!   on-disk encoding) with `seq` beyond the position, in order. The
-//!   follower journals each frame to its *own* WAL under the leader's
-//!   sequence number and applies it with the same semantics recovery
-//!   uses: epoch cross-checks on every delta and compaction, rollbacks
-//!   cancelling deterministically rejected deltas, torn local tails
-//!   truncated on restart. Compaction happens exactly where the leader
-//!   journaled a `Compact` record — never independently — which is what
-//!   keeps dictionary codes and physical row ids byte-identical.
+//!   follower checks each frame, journals it to its *own* WAL under the
+//!   leader's sequence number and applies it through the same pipeline
+//!   the leader and recovery use (see [`crate::store`]): epoch checks on
+//!   every delta and compaction, rollbacks cancelling deterministically
+//!   rejected deltas, torn local tails truncated on restart. Compaction
+//!   happens exactly where the leader journaled a `Compact` record —
+//!   never independently — which is what keeps dictionary codes and
+//!   physical row ids byte-identical.
 //! * `Bootstrap { snapshot }` — the requested position predates the
 //!   leader's shipping horizon (records folded into its snapshot), so the
 //!   follower must install the shipped image and continue from its
@@ -53,7 +54,7 @@ use evofd_incremental::FdDrift;
 
 use crate::error::{io_err, PersistError, Result};
 use crate::lock::DirLock;
-use crate::snapshot::read_snapshot_position;
+use crate::snapshot::{read_snapshot_position, write_atomic};
 use crate::store::{Database, DurableRelation, PersistOptions, ReplicaIngest};
 use crate::wal::{scan_wal, WalRecord, WalWriter};
 use crate::{SNAPSHOT_FILE, WAL_FILE};
@@ -370,18 +371,11 @@ impl ReplicaState {
         if !history.is_empty() {
             crate::history::scan_history_bytes(&history_path, history)?;
         }
-        let tmp = snap_path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(snapshot).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &snap_path).map_err(|e| io_err(&snap_path, e))?;
+        write_atomic(&snap_path, snapshot)?;
         if !history.is_empty() {
             // Written before the table opens so its history writer starts
             // positioned at the shipped tail.
-            std::fs::write(&history_path, history).map_err(|e| io_err(&history_path, e))?;
+            write_atomic(&history_path, history)?;
         }
         WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
         let table = DurableRelation::open_with_lock(dir, opts, lock)?;
@@ -427,8 +421,8 @@ impl ReplicaState {
         self.table
     }
 
-    /// Apply one shipped frame (CRC-verified, then ingested with
-    /// recovery semantics).
+    /// Apply one shipped frame (CRC-verified, then checked, journaled
+    /// and applied through the table's one apply pipeline).
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<ReplicaIngest> {
         let record = WalRecord::decode_frame(frame).ok_or_else(|| {
             if evofd_obs::enabled() {

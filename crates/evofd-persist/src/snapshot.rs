@@ -417,11 +417,20 @@ pub fn write_snapshot(
 ) -> Result<()> {
     let bytes =
         encode_snapshot(live, validator, decisions, indexed_columns, alerts, last_seq, cursor);
+    write_atomic(path, &bytes)
+}
+
+/// Install `bytes` as `path` atomically — temp file beside it, `fsync`,
+/// rename over `path`, `fsync` the directory — so a crash leaves either
+/// the old file or the new one, never a mix. Every whole-file write of a
+/// table directory (snapshots, bootstrap images, history) goes through
+/// here.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    use std::io::Write;
     let tmp = path.with_extension("tmp");
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        use std::io::Write;
-        file.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
+        file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
         file.sync_all().map_err(|e| io_err(&tmp, e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;

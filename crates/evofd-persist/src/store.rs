@@ -10,30 +10,46 @@
 //! <data-dir>/<table>/wal.log        delta WAL since that snapshot
 //! ```
 //!
-//! ## Write path
+//! ## One apply pipeline
 //!
-//! 1. encode the delta as a WAL record stamped with the epoch the live
-//!    relation will hold after application (journal-before-apply);
-//! 2. apply to the [`LiveRelation`] (atomic: all or nothing) and fan the
-//!    tracker updates out via [`IncrementalValidator::apply`];
-//! 3. on apply failure, append a rollback record cancelling the journaled
-//!    delta and surface the error — matching the in-memory engines'
-//!    restore-on-error contract;
-//! 4. if the tombstone fraction passed the live relation's threshold,
-//!    compact and journal a compact record (replay compacts at exactly the
-//!    same point — compaction is deterministic);
-//! 5. if the WAL outgrew [`PersistOptions::wal_compact_bytes`], write a
-//!    fresh snapshot and reset the WAL (snapshot-compaction).
+//! Every change to a table is a [`WalRecord`], and every record takes the
+//! same two steps whoever produced it:
 //!
-//! ## Recovery
+//! 1. `check` validates it against the current state without changing
+//!    anything: deltas and compactions must advance the epoch by exactly
+//!    one, FD and alert-rule sets must parse, a decision must name a
+//!    tracked, undecided FD, indexed columns must exist, and a pending
+//!    doom admits only its rollback;
+//! 2. `apply_record` is the one state machine for all eight record kinds.
+//!    A delta runs through the live relation, the trackers, the advisor,
+//!    the history sampler and the alert rules; a compaction compacts and
+//!    resyncs; the cursor, FD-set, decision, index-set and alert-set
+//!    records install their value.
 //!
-//! [`DurableRelation::open`] loads the snapshot (exact physical layout,
-//! imported tracker counts — no relation scan), truncates any torn WAL
-//! tail to the last checksum-valid record, collects rollback targets, and
-//! replays the surviving records with `seq` beyond the snapshot's. Every
-//! replayed delta's epoch is checked against its journaled `epoch_after`;
-//! divergence is a hard [`PersistError::Recovery`] error, not silent
-//! corruption.
+//! The three callers differ only around those two steps:
+//!
+//! * **Leader** ([`DurableRelation::apply`] and the DDL methods) builds
+//!   each record, checks it, journals it under the next seq and applies
+//!   it. A delta the live relation rejects is cancelled by a rollback
+//!   record, fsynced before the error surfaces. The leader alone decides
+//!   tombstone compaction: when a delta pushes the dead fraction past the
+//!   threshold it journals a `Compact` record, then runs it. When the WAL
+//!   outgrows [`PersistOptions::wal_compact_bytes`] it checkpoints (fresh
+//!   snapshot, WAL reset).
+//! * **Replica** (`ingest_replicated`) checks a shipped record, journals
+//!   it under the leader's seq and applies it. A rejected delta is held as
+//!   a pending doom until the leader's rollback arrives. It checkpoints on
+//!   the same WAL threshold.
+//! * **Recovery** ([`DurableRelation::open`]) loads the snapshot (exact
+//!   physical layout, imported tracker counts — no relation scan),
+//!   truncates any torn WAL tail, skips rolled-back deltas, then checks
+//!   and applies the surviving records beyond the snapshot's seq. A
+//!   rejected *final* delta is amputated; anywhere else a refused record
+//!   is a hard [`PersistError::Recovery`] error. Recovery never
+//!   checkpoints and never re-publishes alert transitions.
+//!
+//! One state machine over one record stream is what makes leader,
+//! follower and recovered state byte-identical.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -41,10 +57,10 @@ use std::sync::Arc;
 
 use evofd_core::{Fd, Repair};
 use evofd_incremental::{
-    AppliedDelta, DecisionAction, DecisionRecord, Delta, DriftKind, FdDrift, IncrementalValidator,
-    LiveAdvisor, LiveRelation, ValidatorConfig, DEFAULT_COMPACT_THRESHOLD,
+    AppliedDelta, DecisionAction, DecisionRecord, Delta, DriftKind, FdDrift, IncrementalError,
+    IncrementalValidator, LiveAdvisor, LiveRelation, ValidatorConfig, DEFAULT_COMPACT_THRESHOLD,
 };
-use evofd_storage::Relation;
+use evofd_storage::{Relation, Schema};
 
 use crate::alert::{AlertRule, AlertState, AlertTransition};
 use crate::error::{io_err, PersistError, Result};
@@ -54,8 +70,10 @@ use crate::history::{
 };
 use crate::lock::DirLock;
 use crate::replication::Shipment;
-use crate::snapshot::{decode_snapshot, encode_snapshot, read_snapshot, write_snapshot};
-use crate::wal::{recover_wal, scan_wal, SyncPolicy, WalRecord, WalWriter};
+use crate::snapshot::{
+    decode_snapshot, encode_snapshot, read_snapshot, write_atomic, SnapshotState,
+};
+use crate::wal::{recover_wal, scan_wal, SyncPolicy, WalRecord, WalScan, WalWriter};
 
 /// Snapshot file name inside a table directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -120,6 +138,56 @@ pub enum ReplicaIngest {
     Doomed,
 }
 
+/// Who feeds a record through the pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// The leader, which built the record itself.
+    Leader,
+    /// A follower applying a record its leader shipped.
+    Replica,
+    /// Crash recovery replaying the local WAL.
+    Recovery,
+}
+
+/// What [`DurableRelation::apply_record`] did with a checked record.
+enum Applied {
+    /// A delta landed: its application record and the drift it caused.
+    Delta(AppliedDelta, Vec<FdDrift>),
+    /// The live relation refused a delta atomically; nothing changed.
+    Rejected(IncrementalError),
+    /// Any other record took effect.
+    Other,
+}
+
+/// Why [`DurableRelation::check`] refused a record, and the
+/// `repl_rejects_total` label a replica counts the refusal under.
+struct Reject {
+    label: Option<&'static str>,
+    message: String,
+}
+
+impl Reject {
+    fn new(message: String) -> Reject {
+        Reject { label: None, message }
+    }
+}
+
+/// Parse a journaled FD set against the table schema.
+fn parse_fds(schema: &Schema, texts: &[String]) -> std::result::Result<Vec<Fd>, Reject> {
+    texts
+        .iter()
+        .map(|t| Fd::parse(schema, t).map_err(|e| Reject::new(format!("FD `{t}`: {e}"))))
+        .collect()
+}
+
+/// Parse a journaled alert-rule set.
+fn parse_rules(texts: &[String]) -> std::result::Result<Vec<AlertRule>, Reject> {
+    texts
+        .iter()
+        .map(|t| AlertRule::parse(t).map_err(|e| Reject::new(format!("alert rule `{t}`: {e}"))))
+        .collect()
+}
+
 /// Stable one-token rendering of a [`DriftKind`](evofd_incremental::DriftKind)
 /// for durable [`DriftEntry`] records (byte-for-byte deterministic; parsed
 /// back by nothing — the history file stores, SQL filters on substrings).
@@ -133,86 +201,6 @@ fn drift_kind_token(kind: &DriftKind) -> String {
         DriftKind::AlertFired { rule } => format!("alert-fired:{rule}"),
         DriftKind::AlertResolved { rule } => format!("alert-resolved:{rule}"),
     }
-}
-
-/// Sample one durable history frame and evaluate the alert rules, shared
-/// verbatim by the leader apply path, recovery replay and replica ingest
-/// so all three derive byte-identical history files.
-///
-/// Free function (not a method) because recovery replay holds `live` /
-/// `validator` / `alerts` as locals before the [`DurableRelation`] exists.
-///
-/// Alert runtime is **always** advanced on a sampled epoch — the streaks
-/// forward-derive deterministically from the snapshot — but the frame is
-/// only appended when this epoch is beyond the file's last frame, which
-/// is what de-duplicates replayed and re-shipped epochs. Returns the
-/// alert transitions; only *live* paths publish them (feed + metrics) —
-/// replay re-deriving runtime must not double-count.
-fn record_history_frame(
-    history: Option<&mut HistoryWriter>,
-    stride: u64,
-    live: &LiveRelation,
-    validator: &IncrementalValidator,
-    alerts: &mut AlertState,
-    seq: u64,
-    drift: &[FdDrift],
-) -> Result<Vec<AlertTransition>> {
-    let Some(history) = history else { return Ok(Vec::new()) };
-    let epoch = live.epoch();
-    if stride == 0 || !epoch.is_multiple_of(stride) {
-        return Ok(Vec::new());
-    }
-    let schema = live.schema();
-    let samples: Vec<FdSample> = validator
-        .fds()
-        .iter()
-        .enumerate()
-        .map(|(i, fd)| FdSample {
-            fd: fd.display(schema),
-            confidence: validator.measures(i).confidence,
-            g3: validator.g3(i),
-            violating_groups: validator.summary(i).violating_groups as u64,
-            violated: !validator.is_exact(i),
-        })
-        .collect();
-    let transitions = alerts.evaluate(|fd_text| {
-        samples.iter().find(|s| s.fd == fd_text).map(|s| (s.confidence, s.g3, s.violating_groups))
-    });
-    let frame = HistoryFrame {
-        epoch,
-        seq,
-        rows: live.row_count() as u64,
-        samples,
-        drifts: drift
-            .iter()
-            .map(|d| DriftEntry {
-                fd: d.fd.display(schema),
-                kind: drift_kind_token(&d.kind),
-                confidence_before: d.confidence_before,
-                confidence_after: d.confidence_after,
-                groups: d.groups.clone(),
-            })
-            .collect(),
-        alerts: transitions
-            .iter()
-            .map(|t| AlertEntry { rule: t.rule.to_string(), fd: t.fd.clone(), fired: t.fired })
-            .collect(),
-    };
-    if !frame.is_empty() && epoch > history.last_epoch() {
-        history.append(&frame)?;
-    }
-    Ok(transitions)
-}
-
-/// Retire decisions whose FD is no longer tracked (after an `FdSet`
-/// change) — deterministic on leader, recovery and replicas alike.
-fn retain_decisions(
-    decisions: &mut Vec<DecisionRecord>,
-    validator: &IncrementalValidator,
-    live: &LiveRelation,
-) {
-    let kept: HashSet<String> = validator.fds().iter().map(|f| f.display(live.schema())).collect();
-    decisions.retain(|d| kept.contains(&d.fd));
 }
 
 /// A live relation + incremental validator with WAL + snapshot durability.
@@ -249,7 +237,7 @@ pub struct DurableRelation {
     alerts: AlertState,
     /// The durable FD-health time series writer — `None` when
     /// [`PersistOptions::history_stride`] is 0. Appended by
-    /// [`record_history_frame`]; never reset by checkpoints.
+    /// `sample_history`; never reset by checkpoints.
     history: Option<HistoryWriter>,
     /// Cached per-table metric handles for the apply hot path (applies
     /// counter + latency histogram) — avoids a registry lookup per delta.
@@ -278,11 +266,27 @@ impl DurableRelation {
             });
         }
         let lock = DirLock::acquire(dir)?;
+        let wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
+        let table = DurableRelation::assemble(dir, rel, fds, config, wal, opts, lock)?;
+        write_atomic(&snap_path, &table.encode_current_snapshot())?;
+        Ok(table)
+    }
+
+    /// A handle over `rel` with `fds` tracked and nothing journaled yet:
+    /// what [`DurableRelation::create`] starts from, and the shell
+    /// recovery restores a snapshot into.
+    fn assemble(
+        dir: &Path,
+        rel: Relation,
+        fds: Vec<Fd>,
+        config: ValidatorConfig,
+        wal: WalWriter,
+        opts: PersistOptions,
+        lock: DirLock,
+    ) -> Result<DurableRelation> {
         let mut live = LiveRelation::new(rel);
         live.set_compact_threshold(opts.compact_threshold);
         let validator = IncrementalValidator::with_config(&live, fds, config);
-        write_snapshot(&snap_path, &live, &validator, &[], &[], &AlertState::new(), 0, 0)?;
-        let wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
         let history = if opts.history_stride > 0 {
             Some(HistoryWriter::open(&dir.join(HISTORY_FILE))?)
         } else {
@@ -327,28 +331,55 @@ impl DurableRelation {
         let load_timer = evofd_obs::Timer::start();
         let state = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
         load_timer.observe(&evofd_obs::metrics::SNAPSHOT_LOAD_SECONDS);
+        let wal_path = dir.join(WAL_FILE);
+        let scan = recover_wal(&wal_path)?;
+        let wal = WalWriter::open_at(&wal_path, opts.sync, scan.valid_bytes)?;
+        let shell = Relation::empty(state.live.relation().schema_arc());
+        let config = ValidatorConfig::default();
+        let mut table = DurableRelation::assemble(dir, shell, Vec::new(), config, wal, opts, lock)?;
+        table.restore(state)?;
+        table.replay(&scan)?;
+        evofd_obs::metrics::RECOVERY_REPLAYED_TOTAL.add(table.recovery.replayed as u64);
+        recovery_timer.observe(&evofd_obs::metrics::RECOVERY_SECONDS);
+        Ok(table)
+    }
+
+    /// Adopt a decoded snapshot as this table's whole in-memory state —
+    /// the restore step `open` and replica bootstrap share. The relation
+    /// keeps its exact physical layout and the validator imports the
+    /// tracker counts (no relation scan); derived state (advisor, pending
+    /// doom) starts over.
+    fn restore(&mut self, state: SnapshotState) -> Result<()> {
         let mut live = state.live;
-        live.set_compact_threshold(opts.compact_threshold);
-        let mut validator = IncrementalValidator::from_tracker_snapshots(
+        live.set_compact_threshold(self.opts.compact_threshold);
+        self.validator = IncrementalValidator::from_tracker_snapshots(
             &live,
             state.fds,
             state.config,
             &state.trackers,
         )
         .map_err(|e| PersistError::Recovery { message: e.to_string() })?;
-        let mut cursor = state.cursor;
-        let mut decisions = state.decisions;
-        let mut indexed_columns = state.indexed_columns;
-        let mut alerts = state.alerts;
-        let mut history = if opts.history_stride > 0 {
-            Some(HistoryWriter::open(&dir.join(HISTORY_FILE))?)
-        } else {
-            None
-        };
+        self.live = live;
+        self.next_seq = state.last_seq + 1;
+        self.snapshot_seq = state.last_seq;
+        self.cursor = state.cursor;
+        self.decisions = state.decisions;
+        self.indexed_columns = state.indexed_columns;
+        self.alerts = state.alerts;
+        self.doomed = None;
+        self.advisor = None;
+        Ok(())
+    }
 
-        let wal_path = dir.join(WAL_FILE);
-        let mut scan = recover_wal(&wal_path)?;
-        let rollback_targets: HashSet<u64> = scan
+    /// Recovery: check and apply every surviving record beyond the
+    /// snapshot, skipping deltas a rollback record cancelled. A rejected
+    /// *final* delta is the crash window between journaling it and
+    /// persisting its rollback — the rejection is deterministic and
+    /// changed nothing — so it is amputated from the log. Anywhere before
+    /// the tail the same failure is corruption: later records were
+    /// journaled against a state it never produced.
+    fn replay(&mut self, scan: &WalScan) -> Result<()> {
+        let rolled_back: HashSet<u64> = scan
             .records
             .iter()
             .filter_map(|r| match r {
@@ -356,175 +387,265 @@ impl DurableRelation {
                 _ => None,
             })
             .collect();
-
-        let mut report = RecoveryReport {
-            snapshot_epoch: live.epoch(),
+        self.recovery = RecoveryReport {
+            snapshot_epoch: self.live.epoch(),
             torn_bytes: scan.torn_bytes,
             ..RecoveryReport::default()
         };
-        let mut max_seq = state.last_seq;
+        let horizon = self.snapshot_seq;
         for (i, record) in scan.records.iter().enumerate() {
             let seq = record.seq();
-            max_seq = max_seq.max(seq);
-            if seq <= state.last_seq {
+            // Numbering continues past folded, cancelled and amputated
+            // records alike.
+            self.next_seq = self.next_seq.max(seq + 1);
+            if seq <= horizon {
                 continue; // already folded into the snapshot
             }
-            match record {
-                WalRecord::Delta { seq, epoch_after, cursor: delta_cursor, inserts, deletes } => {
-                    if rollback_targets.contains(seq) {
-                        report.rolled_back += 1;
-                        continue;
-                    }
-                    let delta = Delta {
-                        inserts: inserts.clone(),
-                        deletes: deletes.iter().map(|&d| d as usize).collect(),
-                    };
-                    let applied = match live.apply(&delta) {
-                        Ok(applied) => applied,
-                        // A doomed FINAL delta with no rollback record is
-                        // the crash window between journaling a delta,
-                        // having the engine reject it atomically, and
-                        // persisting the rollback: the process died in
-                        // between. The engine's rejection is deterministic
-                        // and the in-memory state never advanced, so the
-                        // record is an implicit rollback — amputate it
-                        // from the log and carry on. Anywhere *before*
-                        // the tail the same failure means real
-                        // corruption (later records were journaled
-                        // against a state this delta never produced).
-                        Err(e) if i + 1 == scan.records.len() => {
-                            let cut = scan.offsets[i];
-                            let file = std::fs::OpenOptions::new()
-                                .write(true)
-                                .open(&wal_path)
-                                .map_err(|e| io_err(&wal_path, e))?;
-                            file.set_len(cut).map_err(|e| io_err(&wal_path, e))?;
-                            file.sync_all().map_err(|e| io_err(&wal_path, e))?;
-                            scan.valid_bytes = cut;
-                            report.rolled_back += 1;
-                            let _ = e; // rejection reason; state unchanged
-                            break;
-                        }
-                        Err(e) => {
-                            return Err(PersistError::Recovery {
-                                message: format!("replaying record {seq}: {e}"),
-                            })
-                        }
-                    };
-                    if applied.epoch != *epoch_after {
-                        return Err(PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: journaled epoch {epoch_after} but replay \
-                                 reached {}",
-                                applied.epoch
-                            ),
-                        });
-                    }
-                    let drift = validator.apply_at(&live, &applied, *seq);
-                    // Regenerate any history tail the crash lost: frames
-                    // for epochs already in the file are deduplicated, the
-                    // alert streaks forward-derive either way. Transitions
-                    // are NOT re-published — they already fired live.
-                    record_history_frame(
-                        history.as_mut(),
-                        opts.history_stride,
-                        &live,
-                        &validator,
-                        &mut alerts,
-                        *seq,
-                        &drift,
-                    )?;
-                    if let Some(v) = delta_cursor {
-                        cursor = *v;
-                    }
-                    report.replayed += 1;
+            if rolled_back.contains(&seq) {
+                self.recovery.rolled_back += 1;
+                continue;
+            }
+            self.check(record).map_err(|r| self.refuse(r, seq, Origin::Recovery))?;
+            match self.apply_record(record, Origin::Recovery)? {
+                Applied::Rejected(_) if i + 1 == scan.records.len() => {
+                    self.wal.truncate(scan.offsets[i])?;
+                    self.recovery.rolled_back += 1;
                 }
-                WalRecord::Compact { seq, epoch_after } => {
-                    live.compact();
-                    if live.epoch() != *epoch_after {
-                        return Err(PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: journaled compaction epoch {epoch_after} but \
-                                 replay reached {}",
-                                live.epoch()
-                            ),
-                        });
-                    }
-                    validator.resync(&live);
-                    report.replayed += 1;
+                Applied::Rejected(e) => {
+                    return Err(PersistError::Recovery {
+                        message: format!("replaying record {seq}: {e}"),
+                    })
                 }
-                WalRecord::Cursor { value, .. } => {
-                    cursor = *value;
-                    report.replayed += 1;
-                }
-                WalRecord::FdSet { seq, fds: texts } => {
-                    let mut parsed = Vec::with_capacity(texts.len());
-                    for t in texts {
-                        parsed.push(Fd::parse(live.schema(), t).map_err(|e| {
-                            PersistError::Recovery {
-                                message: format!("record {seq}: journaled FD `{t}`: {e}"),
-                            }
-                        })?);
-                    }
-                    validator = IncrementalValidator::with_config(
-                        &live,
-                        parsed,
-                        validator.config().clone(),
-                    );
-                    retain_decisions(&mut decisions, &validator, &live);
-                    report.replayed += 1;
-                }
-                WalRecord::Decision { record, .. } => {
-                    decisions.push(record.clone());
-                    report.replayed += 1;
-                }
-                WalRecord::IndexSet { seq, columns } => {
-                    for col in columns {
-                        live.schema().resolve(col).map_err(|_| PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: indexed column `{col}` is not in the schema"
-                            ),
-                        })?;
-                    }
-                    indexed_columns = columns.clone();
-                    report.replayed += 1;
-                }
-                WalRecord::AlertSet { seq, rules: texts } => {
-                    let mut parsed = Vec::with_capacity(texts.len());
-                    for t in texts {
-                        parsed.push(AlertRule::parse(t).map_err(|e| PersistError::Recovery {
-                            message: format!("record {seq}: journaled alert rule `{t}`: {e}"),
-                        })?);
-                    }
-                    alerts.install(parsed);
-                    report.replayed += 1;
-                }
-                WalRecord::Rollback { .. } => {}
+                _ if matches!(record, WalRecord::Rollback { .. }) => {}
+                _ => self.recovery.replayed += 1,
             }
         }
+        Ok(())
+    }
 
-        let wal = WalWriter::open_at(&wal_path, opts.sync, scan.valid_bytes)?;
-        evofd_obs::metrics::RECOVERY_REPLAYED_TOTAL.add(report.replayed as u64);
-        recovery_timer.observe(&evofd_obs::metrics::RECOVERY_SECONDS);
-        Ok(DurableRelation {
-            dir: dir.to_path_buf(),
-            live,
-            validator,
-            wal,
-            opts,
-            next_seq: max_seq + 1,
-            cursor,
-            recovery: report,
-            snapshot_seq: state.last_seq,
-            doomed: None,
-            decisions,
-            indexed_columns,
-            alerts,
-            history,
-            advisor: None,
-            apply_stats: None,
-            lock,
-        })
+    /// Validate `record` against the current state without changing
+    /// anything. Leader and replica run it before journaling, so a refused
+    /// record never reaches the WAL; recovery runs it before applying.
+    fn check(&self, record: &WalRecord) -> std::result::Result<(), Reject> {
+        if let Some(doom) = self.doomed {
+            // Only the leader's rollback of the doomed delta may follow
+            // it; anything else means the streams diverged.
+            if !matches!(record, WalRecord::Rollback { target_seq, .. } if *target_seq == doom) {
+                return Err(Reject::new(format!("expected a rollback of doomed delta {doom}")));
+            }
+        }
+        let schema = self.live.schema();
+        match record {
+            // Every delta and compaction advances the epoch by exactly
+            // one: a gap means records were skipped or the states diverged.
+            WalRecord::Delta { epoch_after, .. } | WalRecord::Compact { epoch_after, .. } => {
+                let epoch = self.live.epoch();
+                if *epoch_after != epoch + 1 {
+                    Err(Reject {
+                        label: Some("epoch"),
+                        message: format!(
+                            "epoch_after {epoch_after} does not follow epoch {epoch} — records \
+                             were skipped or states diverged"
+                        ),
+                    })
+                } else if matches!(record, WalRecord::Compact { .. })
+                    && self.live.dead_fraction() <= 0.0
+                {
+                    Err(Reject::new("compaction with no tombstones — states diverged".into()))
+                } else {
+                    Ok(())
+                }
+            }
+            WalRecord::FdSet { fds, .. } => parse_fds(schema, fds).map(drop),
+            WalRecord::Decision { record, .. } => {
+                let tracked = Fd::parse(schema, &record.fd)
+                    .is_ok_and(|fd| self.validator.fds().contains(&fd));
+                let message = if !tracked {
+                    format!("decision names untracked FD `{}`", record.fd)
+                } else if self.decisions.iter().any(|d| d.fd == record.fd) {
+                    format!("FD `{}` already carries a decision", record.fd)
+                } else {
+                    return Ok(());
+                };
+                Err(Reject { label: Some("decision"), message })
+            }
+            WalRecord::IndexSet { columns, .. } => {
+                match columns.iter().find(|c| schema.resolve(c).is_err()) {
+                    Some(col) => {
+                        Err(Reject::new(format!("indexed column `{col}` is not in the schema")))
+                    }
+                    None => Ok(()),
+                }
+            }
+            WalRecord::AlertSet { rules, .. } => parse_rules(rules).map(drop),
+            WalRecord::Rollback { .. } | WalRecord::Cursor { .. } => Ok(()),
+        }
+    }
+
+    /// The error a refused record surfaces as: a table error on the
+    /// leader (bad input, nothing journaled), a replication error on a
+    /// replica (counted under its `repl_rejects_total` label), a recovery
+    /// error on replay.
+    fn refuse(&self, reject: Reject, seq: u64, origin: Origin) -> PersistError {
+        match origin {
+            Origin::Leader => self.table_error(reject.message),
+            Origin::Replica => {
+                if let Some(label) = reject.label.filter(|_| evofd_obs::enabled()) {
+                    evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label(label).inc();
+                }
+                PersistError::Replication { message: format!("record {seq}: {}", reject.message) }
+            }
+            Origin::Recovery => {
+                PersistError::Recovery { message: format!("record {seq}: {}", reject.message) }
+            }
+        }
+    }
+
+    /// The one state machine: apply a checked record to the in-memory
+    /// state. Leader, replica and recovery all land here; the origin only
+    /// decides whether alert transitions are published (recovery re-derives
+    /// the streaks silently — they already fired live) and how an error is
+    /// reported.
+    fn apply_record(&mut self, record: &WalRecord, origin: Origin) -> Result<Applied> {
+        let seq = record.seq();
+        match record {
+            WalRecord::Delta { cursor, inserts, deletes, .. } => {
+                let delta = Delta {
+                    inserts: inserts.clone(),
+                    deletes: deletes.iter().map(|&d| d as usize).collect(),
+                };
+                let applied = match self.live.apply(&delta) {
+                    Ok(applied) => applied,
+                    Err(e) => return Ok(Applied::Rejected(e)),
+                };
+                if let Some(v) = cursor {
+                    self.cursor = *v;
+                }
+                let drift = self.validator.apply_at(&self.live, &applied, seq);
+                if let Some(advisor) = &mut self.advisor {
+                    advisor.apply(&self.live, &self.validator, &applied);
+                }
+                // Sampled at the epoch this delta journaled, before any
+                // compaction record moves it on.
+                let transitions = self.sample_history(seq, &drift)?;
+                if origin != Origin::Recovery {
+                    self.publish_alert_transitions(transitions, seq);
+                }
+                return Ok(Applied::Delta(applied, drift));
+            }
+            WalRecord::Compact { .. } => {
+                // Compaction remaps row ids and dictionary codes: trackers
+                // and a materialized advisor rebuild over the new layout.
+                self.live.compact();
+                self.validator.resync(&self.live);
+                if let Some(advisor) = &mut self.advisor {
+                    advisor.resync(&self.live, &self.validator);
+                }
+            }
+            WalRecord::Cursor { value, .. } => self.cursor = *value,
+            WalRecord::FdSet { fds, .. } => {
+                let fds =
+                    parse_fds(self.live.schema(), fds).map_err(|r| self.refuse(r, seq, origin))?;
+                // The rebuild keeps the drift feed: subscriptions survive.
+                self.validator.replace_fds(&self.live, fds);
+                // Decisions for FDs no longer tracked retire.
+                let schema = self.live.schema();
+                let kept: HashSet<String> =
+                    self.validator.fds().iter().map(|f| f.display(schema)).collect();
+                self.decisions.retain(|d| kept.contains(&d.fd));
+                self.advisor = None; // derived: rebuilt lazily over the new set
+            }
+            WalRecord::Decision { record: decision, .. } => {
+                if let Some(advisor) = &mut self.advisor {
+                    if let Err(e) = advisor.restore(decision) {
+                        return Err(self.refuse(Reject::new(e.to_string()), seq, origin));
+                    }
+                }
+                self.decisions.push(decision.clone());
+            }
+            WalRecord::IndexSet { columns, .. } => self.indexed_columns = columns.clone(),
+            WalRecord::AlertSet { rules, .. } => {
+                let rules = parse_rules(rules).map_err(|r| self.refuse(r, seq, origin))?;
+                self.alerts.install(rules);
+            }
+            WalRecord::Rollback { .. } => self.doomed = None,
+        }
+        Ok(Applied::Other)
+    }
+
+    /// Leader and replica: check `record`, journal it under its own seq,
+    /// then apply it. A rollback is fsynced before anything acts on it,
+    /// whatever the group-commit policy, or replay could re-apply the
+    /// delta it cancels.
+    fn commit(&mut self, record: &WalRecord, origin: Origin) -> Result<Applied> {
+        let seq = record.seq();
+        self.check(record).map_err(|r| self.refuse(r, seq, origin))?;
+        self.wal.append(record)?;
+        if matches!(record, WalRecord::Rollback { .. }) {
+            self.wal.sync()?;
+        }
+        self.next_seq = seq + 1;
+        self.apply_record(record, origin)
+    }
+
+    /// Sample one durable history frame and evaluate the alert rules.
+    ///
+    /// Alert runtime is **always** advanced on a sampled epoch — the streaks
+    /// forward-derive deterministically from the snapshot — but the frame is
+    /// only appended when this epoch is beyond the file's last frame, which
+    /// is what de-duplicates replayed and re-shipped epochs (and regenerates
+    /// a history tail a crash lost). Returns the alert transitions.
+    fn sample_history(&mut self, seq: u64, drift: &[FdDrift]) -> Result<Vec<AlertTransition>> {
+        let Some(history) = self.history.as_mut() else { return Ok(Vec::new()) };
+        let epoch = self.live.epoch();
+        let stride = self.opts.history_stride;
+        if stride == 0 || !epoch.is_multiple_of(stride) {
+            return Ok(Vec::new());
+        }
+        let schema = self.live.schema();
+        let validator = &self.validator;
+        let samples: Vec<FdSample> = validator
+            .fds()
+            .iter()
+            .enumerate()
+            .map(|(i, fd)| FdSample {
+                fd: fd.display(schema),
+                confidence: validator.measures(i).confidence,
+                g3: validator.g3(i),
+                violating_groups: validator.summary(i).violating_groups as u64,
+                violated: !validator.is_exact(i),
+            })
+            .collect();
+        let transitions = self.alerts.evaluate(|fd_text| {
+            samples
+                .iter()
+                .find(|s| s.fd == fd_text)
+                .map(|s| (s.confidence, s.g3, s.violating_groups))
+        });
+        let frame = HistoryFrame {
+            epoch,
+            seq,
+            rows: self.live.row_count() as u64,
+            samples,
+            drifts: drift
+                .iter()
+                .map(|d| DriftEntry {
+                    fd: d.fd.display(schema),
+                    kind: drift_kind_token(&d.kind),
+                    confidence_before: d.confidence_before,
+                    confidence_after: d.confidence_after,
+                    groups: d.groups.clone(),
+                })
+                .collect(),
+            alerts: transitions
+                .iter()
+                .map(|t| AlertEntry { rule: t.rule.to_string(), fd: t.fd.clone(), fired: t.fired })
+                .collect(),
+        };
+        if !frame.is_empty() && epoch > history.last_epoch() {
+            history.append(&frame)?;
+        }
+        Ok(transitions)
     }
 
     /// The live relation (read-only; mutate through [`Self::apply`]).
@@ -546,6 +667,10 @@ impl DurableRelation {
     /// The table name (from the schema).
     pub fn name(&self) -> &str {
         self.live.schema().name()
+    }
+
+    fn table_error(&self, message: String) -> PersistError {
+        PersistError::Table { name: self.name().to_string(), message }
     }
 
     /// The table's directory.
@@ -572,13 +697,10 @@ impl DurableRelation {
     /// Journal and set the stream cursor — an application-defined resume
     /// position (e.g. delta-stream records consumed by `evofd watch`).
     pub fn set_cursor(&mut self, value: u64) -> Result<()> {
-        if value == self.cursor {
-            return Ok(()); // no movement: don't grow the WAL or pay a sync
+        // No movement: don't grow the WAL or pay a sync.
+        if value != self.cursor {
+            self.commit(&WalRecord::Cursor { seq: self.next_seq, value }, Origin::Leader)?;
         }
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::Cursor { seq, value })?;
-        self.next_seq += 1;
-        self.cursor = value;
         Ok(())
     }
 
@@ -616,83 +738,52 @@ impl DurableRelation {
         let _span = evofd_obs::span("store.apply");
         let timer = evofd_obs::Timer::start();
         let seq = self.next_seq;
-        self.wal.append(&WalRecord::Delta {
+        let record = WalRecord::Delta {
             seq,
             epoch_after: self.live.epoch() + 1,
             cursor,
             inserts: delta.inserts.clone(),
             deletes: delta.deletes.iter().map(|&d| d as u64).collect(),
-        })?;
-        self.next_seq += 1;
-
-        match self.live.apply(delta) {
-            Ok(applied) => {
-                if let Some(v) = cursor {
-                    self.cursor = v;
-                }
-                let drift = self.validator.apply_at(&self.live, &applied, seq);
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.apply(&self.live, &self.validator, &applied);
-                }
-                // Sample history + evaluate alerts BEFORE any compaction
-                // bumps the epoch past the one this delta journaled.
-                let transitions = record_history_frame(
-                    self.history.as_mut(),
-                    self.opts.history_stride,
-                    &self.live,
-                    &self.validator,
-                    &mut self.alerts,
-                    seq,
-                    &drift,
-                )?;
-                self.publish_alert_transitions(transitions, seq);
-                if self.live.maybe_compact() > 0 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("tombstone").inc();
-                        evofd_obs::metrics::ADVISOR_RESYNCS_TOTAL.with_label("compaction").inc();
-                    }
-                    self.validator.resync(&self.live);
-                    if let Some(advisor) = &mut self.advisor {
-                        advisor.resync(&self.live, &self.validator);
-                    }
-                    let seq = self.next_seq;
-                    self.wal.append(&WalRecord::Compact { seq, epoch_after: self.live.epoch() })?;
-                    self.next_seq += 1;
-                }
-                if self.wal.bytes() > self.opts.wal_compact_bytes {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::STORE_COMPACTIONS_TOTAL
-                            .with_label("wal-threshold")
-                            .inc();
-                    }
-                    self.checkpoint()?;
-                }
-                if let Some(ns) = timer.elapsed_ns() {
-                    if self.apply_stats.is_none() {
-                        let table = self.live.schema().name();
-                        self.apply_stats = Some((
-                            evofd_obs::metrics::STORE_APPLIES_TOTAL.with_label(table),
-                            evofd_obs::metrics::STORE_APPLY_SECONDS.with_label(table),
-                        ));
-                    }
-                    if let Some((applies, hist)) = &self.apply_stats {
-                        applies.add(1);
-                        hist.record(ns);
-                    }
-                }
-                Ok((applied, drift))
+        };
+        let (applied, drift) = match self.commit(&record, Origin::Leader)? {
+            Applied::Delta(applied, drift) => (applied, drift),
+            Applied::Rejected(e) => {
+                let rollback = WalRecord::Rollback { seq: self.next_seq, target_seq: seq };
+                self.commit(&rollback, Origin::Leader)?;
+                return Err(e.into());
             }
-            Err(e) => {
-                let seq = self.next_seq;
-                self.wal.append(&WalRecord::Rollback { seq, target_seq: seq - 1 })?;
-                self.next_seq += 1;
-                // A rollback must be durable before the error is surfaced,
-                // whatever the group-commit policy, or replay would re-apply
-                // the cancelled delta.
-                self.wal.sync()?;
-                Err(e.into())
+            Applied::Other => unreachable!("a delta record applies as a delta"),
+        };
+        // Only the leader decides compaction, and it journals the decision
+        // before running it: replicas and recovery compact at the record.
+        let dead = self.live.dead_fraction();
+        if dead > 0.0 && dead > self.live.compact_threshold() {
+            if evofd_obs::enabled() {
+                evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("tombstone").inc();
+                evofd_obs::metrics::ADVISOR_RESYNCS_TOTAL.with_label("compaction").inc();
             }
+            let compact =
+                WalRecord::Compact { seq: self.next_seq, epoch_after: self.live.epoch() + 1 };
+            self.commit(&compact, Origin::Leader)?;
         }
+        if self.wal.bytes() > self.opts.wal_compact_bytes {
+            if evofd_obs::enabled() {
+                evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("wal-threshold").inc();
+            }
+            self.checkpoint()?;
+        }
+        if let Some(ns) = timer.elapsed_ns() {
+            let table = self.live.schema().name();
+            let (applies, hist) = self.apply_stats.get_or_insert_with(|| {
+                (
+                    evofd_obs::metrics::STORE_APPLIES_TOTAL.with_label(table),
+                    evofd_obs::metrics::STORE_APPLY_SECONDS.with_label(table),
+                )
+            });
+            applies.add(1);
+            hist.record(ns);
+        }
+        Ok((applied, drift))
     }
 
     /// Write a snapshot of the current state and reset the WAL. Called
@@ -706,18 +797,9 @@ impl DurableRelation {
         if let Some(history) = &mut self.history {
             history.sync()?;
         }
-        write_snapshot(
-            &self.dir.join(SNAPSHOT_FILE),
-            &self.live,
-            &self.validator,
-            &self.decisions,
-            &self.indexed_columns,
-            &self.alerts,
-            self.next_seq - 1,
-            self.cursor,
-        )?;
+        write_atomic(&self.dir.join(SNAPSHOT_FILE), &self.encode_current_snapshot())?;
         timer.observe(&evofd_obs::metrics::SNAPSHOT_ENCODE_SECONDS);
-        self.snapshot_seq = self.next_seq - 1;
+        self.snapshot_seq = self.last_seq();
         self.wal.reset()
     }
 
@@ -781,299 +863,51 @@ impl DurableRelation {
     // Replica ingest (follower side).
     // ------------------------------------------------------------------
 
-    /// Apply one shipped leader record to this (follower) table: journal
-    /// it to the local WAL with the **leader's** sequence number, then
-    /// apply with exactly the semantics the recovery replay uses —
-    /// journal-before-apply, epoch cross-checks, deterministic rejection
-    /// held as a pending doom until the leader's rollback arrives.
-    /// Duplicate deliveries (`seq` already acked) are skipped.
+    /// Apply one shipped leader record to this (follower) table through
+    /// the one pipeline: check it, journal it to the local WAL under the
+    /// **leader's** sequence number, apply it. A delta the engine rejects
+    /// (deterministically — the leader rejected it too) is held as a
+    /// pending doom until the leader's rollback arrives; if we die first,
+    /// recovery amputates the journaled copy. Duplicate deliveries (`seq`
+    /// already acked) are skipped.
     pub(crate) fn ingest_replicated(&mut self, record: &WalRecord) -> Result<ReplicaIngest> {
         let seq = record.seq();
         if seq < self.next_seq {
             return Ok(ReplicaIngest::Skipped);
         }
-        if let Some(doom) = self.doomed {
-            // The only legal next record is the leader's rollback of the
-            // doomed delta; anything else means the streams diverged.
-            match record {
-                WalRecord::Rollback { target_seq, .. } if *target_seq == doom => {}
-                _ => {
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "expected a rollback of doomed delta {doom}, got record {seq}"
-                        ),
-                    })
+        Ok(match self.commit(record, Origin::Replica)? {
+            Applied::Delta(_, drift) => {
+                if self.wal.bytes() > self.opts.wal_compact_bytes {
+                    self.checkpoint()?;
                 }
+                ReplicaIngest::Applied(drift)
             }
-        }
-        match record {
-            WalRecord::Delta { seq, epoch_after, cursor, inserts, deletes } => {
-                // Epoch continuity gate, checked BEFORE anything mutates:
-                // every leader delta advances the epoch by exactly one, so
-                // a mismatch here means deltas were skipped (e.g. a racy
-                // transport shipped frames across a checkpoint gap) or the
-                // states diverged. Rejecting now keeps the local WAL free
-                // of a record its own recovery could not replay.
-                if *epoch_after != self.live.epoch() + 1 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("epoch").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader epoch_after {epoch_after} does not follow \
-                             replica epoch {} — deltas were skipped or states diverged; \
-                             re-bootstrap the replica",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                let delta = Delta {
-                    inserts: inserts.clone(),
-                    deletes: deletes.iter().map(|&d| d as usize).collect(),
-                };
-                match self.live.apply(&delta) {
-                    Err(_) => {
-                        // Deterministic rejection: the leader rejected this
-                        // delta too and will ship its rollback next. The
-                        // journaled copy mirrors the leader's WAL; if we
-                        // die first, recovery amputates it (doomed tail).
-                        self.doomed = Some(*seq);
-                        Ok(ReplicaIngest::Doomed)
-                    }
-                    Ok(applied) => {
-                        if applied.epoch != *epoch_after {
-                            return Err(PersistError::Replication {
-                                message: format!(
-                                    "record {seq}: leader journaled epoch {epoch_after} but \
-                                     replica reached {} — states diverged",
-                                    applied.epoch
-                                ),
-                            });
-                        }
-                        if let Some(v) = cursor {
-                            self.cursor = *v;
-                        }
-                        let drift = self.validator.apply_at(&self.live, &applied, *seq);
-                        // A materialized advisor session (replica-side
-                        // SUGGEST/SHOW FDS) is maintained per ingested
-                        // delta, exactly like the leader's apply path.
-                        if let Some(advisor) = &mut self.advisor {
-                            advisor.apply(&self.live, &self.validator, &applied);
-                        }
-                        // The follower derives the same history frames and
-                        // alert streaks from the same delta stream — its
-                        // history.bin converges byte-for-byte with the
-                        // leader's (bootstrap ships the folded prefix).
-                        let transitions = record_history_frame(
-                            self.history.as_mut(),
-                            self.opts.history_stride,
-                            &self.live,
-                            &self.validator,
-                            &mut self.alerts,
-                            *seq,
-                            &drift,
-                        )?;
-                        self.publish_alert_transitions(transitions, *seq);
-                        // No tombstone compaction here: the leader journals
-                        // its compactions as Compact records, and replaying
-                        // them at the same point is what keeps the physical
-                        // layouts (codes, row ids) byte-identical.
-                        if self.wal.bytes() > self.opts.wal_compact_bytes {
-                            self.checkpoint()?;
-                        }
-                        Ok(ReplicaIngest::Applied(drift))
-                    }
-                }
+            Applied::Rejected(_) => {
+                self.doomed = Some(seq);
+                ReplicaIngest::Doomed
             }
-            WalRecord::Rollback { seq, .. } => {
-                // With a doom pending this cancels it; without one the
-                // target delta was never applied here (our own recovery
-                // amputated it as a doomed tail) — either way the rollback
-                // is journaled so local replay also skips the target.
-                self.wal.append(record)?;
-                self.wal.sync()?;
-                self.next_seq = seq + 1;
-                self.doomed = None;
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::Compact { seq, epoch_after } => {
-                // Same pre-mutation continuity gate as deltas: a leader
-                // compaction advances the epoch by exactly one.
-                if *epoch_after != self.live.epoch() + 1 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("epoch").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader compaction epoch_after {epoch_after} does \
-                             not follow replica epoch {} — deltas were skipped or states \
-                             diverged; re-bootstrap the replica",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.live.compact();
-                if self.live.epoch() != *epoch_after {
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader compacted to epoch {epoch_after} but replica \
-                             reached {} — states diverged",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.validator.resync(&self.live);
-                // Compaction remaps row ids and dictionary codes: a
-                // materialized advisor's indexes must rebuild too.
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.resync(&self.live, &self.validator);
-                }
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::Cursor { seq, value } => {
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.cursor = *value;
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::FdSet { seq, fds: texts } => {
-                // Parse BEFORE journaling so a malformed record never
-                // reaches the local WAL (its own recovery would fail on
-                // it with the same error).
-                let mut parsed = Vec::with_capacity(texts.len());
-                for t in texts {
-                    parsed.push(Fd::parse(self.live.schema(), t).map_err(|e| {
-                        PersistError::Replication {
-                            message: format!("record {seq}: shipped FD `{t}`: {e}"),
-                        }
-                    })?);
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.install_fd_set(parsed);
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::Decision { seq, record: decision } => {
-                // Validate BEFORE journaling (same discipline as FdSet):
-                // a rejected decision must never reach the local WAL, or
-                // recovery would re-install it unconditionally and every
-                // later advisor materialization would fail.
-                let known = Fd::parse(self.live.schema(), &decision.fd)
-                    .ok()
-                    .and_then(|fd| self.validator.fds().iter().position(|f| *f == fd));
-                if known.is_none() {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("decision").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: decision names unknown FD `{}`",
-                            decision.fd
-                        ),
-                    });
-                }
-                if self.decisions.iter().any(|d| d.fd == decision.fd) {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("decision").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: FD `{}` already carries a decision",
-                            decision.fd
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.restore(decision).map_err(|e| PersistError::Replication {
-                        message: format!("record {seq}: {e}"),
-                    })?;
-                }
-                self.decisions.push(decision.clone());
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::IndexSet { seq, columns } => {
-                // Validate BEFORE journaling (same discipline as FdSet): a
-                // record naming a column the schema lacks must never reach
-                // the local WAL.
-                for col in columns {
-                    self.live.schema().resolve(col).map_err(|_| PersistError::Replication {
-                        message: format!(
-                            "record {seq}: shipped indexed column `{col}` is not in the schema"
-                        ),
-                    })?;
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.indexed_columns = columns.clone();
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::AlertSet { seq, rules: texts } => {
-                // Parse BEFORE journaling (same discipline as FdSet): a
-                // malformed rule must never reach the local WAL.
-                let mut parsed = Vec::with_capacity(texts.len());
-                for t in texts {
-                    parsed.push(AlertRule::parse(t).map_err(|e| PersistError::Replication {
-                        message: format!("record {seq}: shipped alert rule `{t}`: {e}"),
-                    })?);
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.alerts.install(parsed);
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-        }
+            Applied::Other => ReplicaIngest::Applied(Vec::new()),
+        })
     }
 
     /// Replace this table's entire state from a shipped bootstrap
-    /// snapshot: validate + decode the image, install it as the on-disk
-    /// snapshot (atomic temp + rename), reset the WAL and adopt the
-    /// snapshot's position. The directory lock is held throughout.
+    /// snapshot: validate the image, install it as the on-disk snapshot
+    /// (atomically), reset the WAL and restore from it. The directory
+    /// lock is held throughout.
     pub(crate) fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
         let snap_path = self.dir.join(SNAPSHOT_FILE);
         let state = decode_snapshot(&snap_path, bytes)?;
-        let mut live = state.live;
-        live.set_compact_threshold(self.opts.compact_threshold);
-        let validator = IncrementalValidator::from_tracker_snapshots(
-            &live,
-            state.fds,
-            state.config,
-            &state.trackers,
-        )
-        .map_err(|e| PersistError::Recovery { message: e.to_string() })?;
-        // Persist the image exactly as shipped (atomic, like write_snapshot).
-        let tmp = snap_path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &snap_path).map_err(|e| io_err(&snap_path, e))?;
+        write_atomic(&snap_path, bytes)?; // the image exactly as shipped
         self.wal.reset()?;
-        self.live = live;
-        self.validator = validator;
-        self.next_seq = state.last_seq + 1;
-        self.snapshot_seq = state.last_seq;
-        self.cursor = state.cursor;
-        self.doomed = None;
-        self.decisions = state.decisions;
-        self.indexed_columns = state.indexed_columns;
-        self.alerts = state.alerts;
-        self.advisor = None; // derived: rebuilt lazily over the new state
+        self.restore(state)?;
         evofd_obs::metrics::REPL_BOOTSTRAPS_TOTAL.inc();
         Ok(())
     }
 
     /// Replace this table's durable history file from shipped bytes
-    /// (bootstrap path): validate the image, install it atomically (temp +
-    /// rename) and reopen the writer positioned at its tail. Empty bytes
-    /// mean the leader ships no history — the local file is left alone.
+    /// (bootstrap path): validate the image, install it atomically and
+    /// reopen the writer positioned at its tail. Empty bytes mean the
+    /// leader ships no history — the local file is left alone.
     pub(crate) fn install_history(&mut self, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() || self.opts.history_stride == 0 {
             return Ok(());
@@ -1081,14 +915,7 @@ impl DurableRelation {
         let path = self.dir.join(HISTORY_FILE);
         scan_history_bytes(&path, bytes)?; // validate before touching disk
         self.history = None; // close the writer before replacing its file
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_atomic(&path, bytes)?;
         self.history = Some(HistoryWriter::open(&path)?);
         Ok(())
     }
@@ -1141,36 +968,23 @@ impl DurableRelation {
     /// records the replacement in its audit log. Returns the adopted
     /// repair.
     pub fn accept_repair(&mut self, fd_index: usize, proposal: usize) -> Result<Repair> {
-        self.ensure_advisor()?;
-        let advisor = self.advisor.as_ref().expect("ensured");
-        let proposals = advisor.proposals(fd_index).map_err(|e| PersistError::Table {
-            name: self.live.schema().name().to_string(),
-            message: e.to_string(),
-        })?;
-        let chosen = proposals.get(proposal).cloned().ok_or_else(|| PersistError::Table {
-            name: self.live.schema().name().to_string(),
-            message: format!("no proposal #{} for FD #{fd_index}", proposal + 1),
-        })?;
+        let advisor = self.ensure_advisor()?;
+        let chosen = advisor
+            .proposals(fd_index)
+            .map_err(|e| e.to_string())
+            .and_then(|proposals| {
+                proposals
+                    .get(proposal)
+                    .cloned()
+                    .ok_or_else(|| format!("no proposal #{} for FD #{fd_index}", proposal + 1))
+            })
+            .map_err(|message| self.table_error(message))?;
         let schema = self.live.schema();
-        let record = DecisionRecord {
-            fd: advisor.fds()[fd_index].display(schema),
-            action: DecisionAction::Accept {
-                proposal: proposal as u32,
-                evolved: chosen.fd.display(schema),
-            },
-        };
-        self.journal_decision(&record)?;
-        self.advisor
-            .as_mut()
-            .expect("ensured")
-            .accept(fd_index, proposal)
-            .expect("accept pre-validated above");
-        let original = record.fd.clone();
-        let evolved = match &record.action {
-            DecisionAction::Accept { evolved, .. } => evolved.clone(),
-            _ => unreachable!("constructed as Accept above"),
-        };
-        self.decisions.push(record);
+        let original = self.validator.fds()[fd_index].display(schema);
+        let evolved = chosen.fd.display(schema);
+        let action = DecisionAction::Accept { proposal: proposal as u32, evolved: evolved.clone() };
+        let record = DecisionRecord { fd: original.clone(), action };
+        self.commit(&WalRecord::Decision { seq: self.next_seq, record }, Origin::Leader)?;
 
         // Swap the evolved FD into the tracked set. The journaled FdSet
         // record retires the Accept decision (its FD is no longer
@@ -1180,8 +994,7 @@ impl DurableRelation {
         fds[fd_index] = chosen.fd.clone();
         self.set_fds(fds)?;
         evofd_obs::metrics::ADVISOR_ACCEPTED_REPLACEMENTS_TOTAL.inc();
-        self.ensure_advisor()?;
-        self.advisor.as_mut().expect("ensured").note_replacement(&original, &evolved);
+        self.ensure_advisor()?.note_replacement(&original, &evolved);
         Ok(chosen)
     }
 
@@ -1198,55 +1011,26 @@ impl DurableRelation {
     }
 
     fn decide_simple(&mut self, fd_index: usize, action: DecisionAction) -> Result<()> {
-        self.ensure_advisor()?;
-        let advisor = self.advisor.as_ref().expect("ensured");
-        let pending = advisor.state(fd_index).map(|s| s.needs_decision()).unwrap_or(false);
-        if !pending {
-            return Err(PersistError::Table {
-                name: self.live.schema().name().to_string(),
-                message: format!("FD #{fd_index} is not awaiting a decision"),
-            });
+        let advisor = self.ensure_advisor()?;
+        if !advisor.state(fd_index).is_ok_and(|s| s.needs_decision()) {
+            return Err(self.table_error(format!("FD #{fd_index} is not awaiting a decision")));
         }
-        let record =
-            DecisionRecord { fd: advisor.fds()[fd_index].display(self.live.schema()), action };
-        self.journal_decision(&record)?;
-        let advisor = self.advisor.as_mut().expect("ensured");
-        match record.action {
-            DecisionAction::Keep => advisor.keep(fd_index),
-            DecisionAction::Drop => advisor.drop_fd(fd_index),
-            DecisionAction::Accept { .. } => unreachable!("accept goes through accept_repair"),
-        }
-        .expect("decision pre-validated above");
-        self.decisions.push(record);
-        Ok(())
-    }
-
-    fn journal_decision(&mut self, record: &DecisionRecord) -> Result<()> {
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::Decision { seq, record: record.clone() })?;
-        self.next_seq += 1;
+        let fd = self.validator.fds()[fd_index].display(self.live.schema());
+        let record = DecisionRecord { fd, action };
+        self.commit(&WalRecord::Decision { seq: self.next_seq, record }, Origin::Leader)?;
         Ok(())
     }
 
     /// Replace the tracked-FD set (`ALTER TABLE … CONSTRAINT FD`):
     /// journal an `FdSet` record carrying the **full** new set, rebuild
     /// the incremental validator (one O(rows) scan) and retire decisions
-    /// for FDs no longer tracked. Returns the new tracked count. Note the
-    /// rebuild resets the validator's drift-feed subscriptions and stats.
+    /// for FDs no longer tracked. Returns the new tracked count. The
+    /// rebuild keeps the drift feed, so subscriptions carry over (events
+    /// then index the new set); work counters restart.
     pub fn set_fds(&mut self, fds: Vec<Fd>) -> Result<usize> {
-        let rendered: Vec<String> = fds.iter().map(|f| f.display(self.live.schema())).collect();
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::FdSet { seq, fds: rendered })?;
-        self.next_seq += 1;
-        self.install_fd_set(fds);
+        let fds = fds.iter().map(|f| f.display(self.live.schema())).collect();
+        self.commit(&WalRecord::FdSet { seq: self.next_seq, fds }, Origin::Leader)?;
         Ok(self.validator.fds().len())
-    }
-
-    fn install_fd_set(&mut self, fds: Vec<Fd>) {
-        let config = self.validator.config().clone();
-        self.validator = IncrementalValidator::with_config(&self.live, fds, config);
-        retain_decisions(&mut self.decisions, &self.validator, &self.live);
-        self.advisor = None; // derived: rebuilt lazily over the new set
     }
 
     /// Canonical names of the columns under secondary indexing.
@@ -1260,16 +1044,7 @@ impl DurableRelation {
     /// contents are derived state the SQL engine rebuilds from the rows,
     /// both on the live path and after recovery.
     pub fn set_indexes(&mut self, columns: Vec<String>) -> Result<()> {
-        for col in &columns {
-            self.live.schema().resolve(col).map_err(|_| PersistError::Table {
-                name: self.live.schema().name().to_string(),
-                message: format!("indexed column `{col}` is not in the schema"),
-            })?;
-        }
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::IndexSet { seq, columns: columns.clone() })?;
-        self.next_seq += 1;
-        self.indexed_columns = columns;
+        self.commit(&WalRecord::IndexSet { seq: self.next_seq, columns }, Origin::Leader)?;
         Ok(())
     }
 
@@ -1292,20 +1067,16 @@ impl DurableRelation {
     /// first (`zip -> city` becomes `[zip] -> [city]`) so it matches the
     /// display strings the sampling path compares against; an FD that
     /// does not parse is an error before anything is journaled.
-    pub fn set_alerts(&mut self, mut rules: Vec<AlertRule>) -> Result<usize> {
-        for rule in &mut rules {
-            let parsed =
-                Fd::parse(self.live.schema(), &rule.fd).map_err(|e| PersistError::Table {
-                    name: self.live.schema().name().to_string(),
-                    message: format!("bad FD in alert rule `{rule}`: {e}"),
-                })?;
-            rule.fd = parsed.display(self.live.schema());
+    pub fn set_alerts(&mut self, rules: Vec<AlertRule>) -> Result<usize> {
+        let schema = self.live.schema();
+        let mut texts = Vec::with_capacity(rules.len());
+        for mut rule in rules {
+            let fd = Fd::parse(schema, &rule.fd)
+                .map_err(|e| self.table_error(format!("bad FD in alert rule `{rule}`: {e}")))?;
+            rule.fd = fd.display(schema);
+            texts.push(rule.to_string());
         }
-        let rendered: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::AlertSet { seq, rules: rendered })?;
-        self.next_seq += 1;
-        self.alerts.install(rules);
+        self.commit(&WalRecord::AlertSet { seq: self.next_seq, rules: texts }, Origin::Leader)?;
         Ok(self.alerts.rules.len())
     }
 
@@ -2008,6 +1779,24 @@ mod tests {
         let r = DurableRelation::open(&dir, PersistOptions::default()).unwrap();
         assert_eq!(r.validator().fds().len(), 1);
         assert!(r.decisions().is_empty());
+    }
+
+    #[test]
+    fn drift_subscriptions_survive_fd_set_changes() {
+        let dir = tmpdir("feed_across_fdset");
+        let mut t = create(&dir, PersistOptions::default());
+        let sub = t.validator_mut().subscribe();
+        // ALTER TABLE … ADD CONSTRAINT FD rebuilds the validator.
+        let mut fds = t.validator().fds().to_vec();
+        fds.push(Fd::parse(t.live().schema(), "Y -> X").unwrap());
+        t.set_fds(fds).unwrap();
+        // A conflicting insert breaks X -> Y: the old subscription hears it.
+        t.apply(&Delta::inserting(vec![srow("a", "9")])).unwrap();
+        let events = t.validator_mut().poll(sub);
+        assert!(
+            events.iter().any(|e| e.fd_index == 0 && e.kind == DriftKind::BecameViolated),
+            "subscription went silent after the FD-set change: {events:?}"
+        );
     }
 
     #[test]

@@ -540,9 +540,15 @@ impl WalWriter {
     /// Truncate back to the bare header (after a snapshot makes the log
     /// redundant) and sync.
     pub fn reset(&mut self) -> Result<()> {
-        self.file.set_len(WAL_HEADER_LEN).map_err(|e| io_err(&self.path, e))?;
-        self.file.seek(SeekFrom::Start(WAL_HEADER_LEN)).map_err(|e| io_err(&self.path, e))?;
-        self.bytes = WAL_HEADER_LEN;
+        self.truncate(WAL_HEADER_LEN)
+    }
+
+    /// Truncate the log to its first `len` bytes (a frame boundary) and
+    /// sync; appends continue from there.
+    pub(crate) fn truncate(&mut self, len: u64) -> Result<()> {
+        self.file.set_len(len).map_err(|e| io_err(&self.path, e))?;
+        self.file.seek(SeekFrom::Start(len)).map_err(|e| io_err(&self.path, e))?;
+        self.bytes = len;
         self.sync()
     }
 }

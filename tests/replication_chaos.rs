@@ -5,7 +5,8 @@
 //!
 //! For a generated leader stream (inserts, value deletes, deterministic
 //! rejections with rollbacks, journaled tombstone compactions, cursor
-//! moves) the driver:
+//! moves, and an index set, an alert set, a designer decision and an
+//! FD-set change — every WAL record kind) this harness:
 //!
 //! * kills the follower at **every frame boundary** of the stream and
 //!   restarts it (recovery + resync must converge to the leader bytes);
@@ -25,8 +26,8 @@ use evofd::core::Fd;
 use evofd::incremental::{Delta, ValidatorConfig};
 use evofd::persist::wal::WAL_HEADER_LEN;
 use evofd::persist::{
-    Database, DirTransport, DurableRelation, FrameTransport, PersistOptions, ReplicaState,
-    Shipment, SyncPolicy, WalRecord, WAL_FILE,
+    AlertRule, Database, DirTransport, DurableRelation, FrameTransport, PersistOptions,
+    ReplicaState, Shipment, SyncPolicy, WalRecord, WAL_FILE,
 };
 use evofd::storage::{relation_of_strs, Relation, Value};
 use proptest::prelude::*;
@@ -49,7 +50,9 @@ fn base_rel() -> Relation {
 
 /// Build a leader with a seeded delta stream that exercises every WAL
 /// record kind: plain deltas, a deterministic rejection (rollback pair),
-/// tombstone compactions (low threshold) and cursor moves.
+/// tombstone compactions (low threshold) and cursor moves drawn from the
+/// RNG, plus an index set, an alert set, a designer decision and an
+/// FD-set change at fixed steps that draw nothing from it.
 fn build_leader(dir: &Path, sync: SyncPolicy, seed: u64, steps: u64) -> Database {
     let opts = PersistOptions {
         sync,
@@ -65,6 +68,25 @@ fn build_leader(dir: &Path, sync: SyncPolicy, seed: u64, steps: u64) -> Database
     let mut rng = TestRng::new(seed);
     for step in 0..steps {
         let t = db.get_mut("t").unwrap();
+        match step {
+            1 => t.set_indexes(vec!["X".into()]).unwrap(),
+            3 => {
+                let rule = AlertRule::parse("FD 'X -> Y' WHEN confidence < 0.99 FOR 1 EPOCHS");
+                t.set_alerts(vec![rule.unwrap()]).unwrap();
+            }
+            5 => {
+                // Plant a violation of X -> Y on an X value the RNG never
+                // draws, so the FD awaits a decision whatever the seed.
+                t.apply(&Delta::inserting(vec![srow(100, 0), srow(100, 1)])).unwrap();
+                t.decide_keep(0).unwrap();
+            }
+            7 => {
+                let mut fds = t.validator().fds().to_vec();
+                fds.push(Fd::parse(t.live().schema(), "Y -> X").unwrap());
+                t.set_fds(fds).unwrap();
+            }
+            _ => {}
+        }
         match rng.below(8) {
             0..=3 => {
                 let n = 1 + rng.below(2);
@@ -189,6 +211,10 @@ fn chaos_sweep(sync: SyncPolicy, seed: u64) {
         "seed {seed} produced no compaction — adjust the seed"
     );
     assert!(kinds.iter().any(|r| matches!(r, WalRecord::Cursor { .. })));
+    assert!(kinds.iter().any(|r| matches!(r, WalRecord::FdSet { .. })));
+    assert!(kinds.iter().any(|r| matches!(r, WalRecord::Decision { .. })));
+    assert!(kinds.iter().any(|r| matches!(r, WalRecord::IndexSet { .. })));
+    assert!(kinds.iter().any(|r| matches!(r, WalRecord::AlertSet { .. })));
 
     // Kill at EVERY frame boundary, clean and torn.
     let leader_ref =
